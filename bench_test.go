@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"contention/internal/core"
+	"contention/internal/des"
 	"contention/internal/experiments"
 	"contention/internal/runner"
 	"contention/internal/stats"
@@ -283,6 +284,35 @@ func BenchmarkSuite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDESProcSwitch measures the DES kernel's own layer: two
+// processes ping-pong one mailbox message desRounds times, so each round
+// is two sends and two process switches (a resume into a parked process
+// and its park back to the kernel). One op is a whole simulation, closed
+// afterwards; ns/switch divides the time by the switches it made.
+func BenchmarkDESProcSwitch(b *testing.B) {
+	const desRounds = 1000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := des.New()
+		ping := des.NewMailbox[int](k, "ping")
+		pong := des.NewMailbox[int](k, "pong")
+		k.Spawn("a", func(p *des.Proc) {
+			for j := 0; j < desRounds; j++ {
+				ping.Send(j)
+				pong.Recv(p)
+			}
+		})
+		k.Spawn("b", func(p *des.Proc) {
+			for j := 0; j < desRounds; j++ {
+				pong.Send(ping.Recv(p))
+			}
+		})
+		k.Run()
+		k.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*desRounds), "ns/switch")
 }
 
 // BenchmarkSystemAddRemove measures the incremental O(p) add and O(p²)

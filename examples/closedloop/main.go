@@ -24,6 +24,7 @@ func main() {
 	// A loaded platform: two contenders the scheduler knows nothing
 	// about — one CPU-bound, one communicating.
 	k := contention.NewKernel()
+	defer k.Close()
 	sp, err := contention.NewSunParagon(k, params)
 	if err != nil {
 		log.Fatal(err)

@@ -15,6 +15,7 @@ import (
 
 func run(m, hogs int) (elapsed, busy, idle float64) {
 	k := contention.NewKernel()
+	defer k.Close()
 	plat, err := contention.NewSunCM2(k, contention.DefaultCM2Params())
 	if err != nil {
 		log.Fatal(err)

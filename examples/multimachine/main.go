@@ -43,6 +43,7 @@ func main() {
 	// Verify against the simulated three-machine platform: a 1000×512w
 	// burst on link 0 with the contenders split.
 	k := contention.NewKernel()
+	defer k.Close()
 	legs, err := contention.NewSunMultiParagon(k, params, 2)
 	if err != nil {
 		log.Fatal(err)

@@ -129,6 +129,7 @@ func (o Options) newPlatform() (*des.Kernel, *platform.SunParagon, error) {
 	k := des.New()
 	sp, err := platform.NewSunParagon(k, o.Params)
 	if err != nil {
+		k.Close()
 		return nil, nil, err
 	}
 	return k, sp, nil
@@ -148,6 +149,7 @@ func (o Options) measureBurstWarm(dir workload.Direction, words int, setup func(
 	if err != nil {
 		return 0, err
 	}
+	defer k.Close()
 	if setup != nil {
 		setup(sp)
 	}
@@ -194,6 +196,7 @@ func (o Options) measureComputeWarm(setup func(*platform.SunParagon), warmup flo
 	if err != nil {
 		return 0, err
 	}
+	defer k.Close()
 	if setup != nil {
 		setup(sp)
 	}

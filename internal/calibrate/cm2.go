@@ -72,6 +72,7 @@ func CalibrateCM2(opts CM2Options) (core.CommModel, error) {
 
 func cm2Elapsed(params platform.CM2Params, body func(*des.Proc, *platform.SunCM2)) (float64, error) {
 	k := des.New()
+	defer k.Close()
 	plat, err := platform.NewSunCM2(k, params)
 	if err != nil {
 		return 0, err

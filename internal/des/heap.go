@@ -6,7 +6,8 @@ type Event struct {
 	at       float64
 	seq      uint64
 	fn       func()
-	index    int // position in the heap, -1 once fired or canceled
+	proc     *Proc // resumed instead of calling fn when non-nil
+	index    int   // position in the heap, -1 once fired or canceled
 	canceled bool
 }
 

@@ -7,21 +7,21 @@ import "fmt"
 // interaction happens either before Run or from within event callbacks
 // and processes, which the kernel serializes.
 type Kernel struct {
-	now   float64
-	seq   uint64
-	heap  eventHeap
-	yield chan struct{} // handshake: a process hands control back here
+	now  float64
+	seq  uint64
+	heap eventHeap
+	live []*Proc // spawned and not finished
 
 	running  bool
 	stopped  bool
-	procs    int // live processes (diagnostics)
+	closing  bool
 	maxTime  float64
 	hasLimit bool
 }
 
 // New returns an empty kernel with the clock at zero.
 func New() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now reports the current virtual time in seconds.
@@ -31,11 +31,20 @@ func (k *Kernel) Now() float64 { return k.now }
 // past panics: it indicates a simulation logic error, not a recoverable
 // condition.
 func (k *Kernel) At(t float64, fn func()) *Event {
+	return k.schedule(t, fn, nil)
+}
+
+// wakeAt schedules a resumption of p at time t: an event without a
+// callback closure.
+func (k *Kernel) wakeAt(t float64, p *Proc) { k.schedule(t, nil, p) }
+
+// schedule queues an event that calls fn, or resumes p if p is non-nil.
+func (k *Kernel) schedule(t float64, fn func(), p *Proc) *Event {
 	if t < k.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", t, k.now))
 	}
 	k.seq++
-	e := &Event{at: t, seq: k.seq, fn: fn}
+	e := &Event{at: t, seq: k.seq, fn: fn, proc: p}
 	k.heap.push(e)
 	return e
 }
@@ -65,7 +74,8 @@ func (k *Kernel) Cancel(e *Event) {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events in time order until the heap drains, Stop is
-// called, or the optional time limit set by RunUntil is reached.
+// called, or the optional time limit set by RunUntil is reached. A panic
+// in an event callback or process body propagates out of Run.
 func (k *Kernel) Run() {
 	if k.running {
 		panic("des: Run called reentrantly")
@@ -85,7 +95,11 @@ func (k *Kernel) Run() {
 			return
 		}
 		k.now = e.at
-		e.fn()
+		if e.proc != nil {
+			e.proc.resume()
+		} else {
+			e.fn()
+		}
 	}
 }
 
@@ -110,4 +124,4 @@ func (k *Kernel) Pending() int {
 }
 
 // Procs reports the number of live processes (spawned and not finished).
-func (k *Kernel) Procs() int { return k.procs }
+func (k *Kernel) Procs() int { return len(k.live) }

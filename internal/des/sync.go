@@ -5,7 +5,7 @@ package des
 type Mailbox[T any] struct {
 	k     *Kernel
 	name  string
-	msgs  []T
+	msgs  queue[T]
 	queue waitQueue
 }
 
@@ -15,38 +15,28 @@ func NewMailbox[T any](k *Kernel, name string) *Mailbox[T] {
 }
 
 // Len reports the number of queued messages.
-func (m *Mailbox[T]) Len() int { return len(m.msgs) }
+func (m *Mailbox[T]) Len() int { return m.msgs.len() }
 
 // Send enqueues v and wakes one parked receiver, if any. Send is safe to
 // call from event callbacks as well as processes.
 func (m *Mailbox[T]) Send(v T) {
-	m.msgs = append(m.msgs, v)
-	if w := m.queue.pop(); w != nil {
-		w.p.Resume()
-	}
+	m.msgs.push(v)
+	m.queue.wakeOne()
 }
 
 // Recv returns the oldest message, parking p until one is available.
 func (m *Mailbox[T]) Recv(p *Proc) T {
-	for len(m.msgs) == 0 {
+	for {
+		if v, ok := m.msgs.pop(); ok {
+			return v
+		}
 		m.queue.push(p)
 		p.park()
 	}
-	v := m.msgs[0]
-	m.msgs = m.msgs[1:]
-	return v
 }
 
 // TryRecv returns the oldest message without blocking.
-func (m *Mailbox[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(m.msgs) == 0 {
-		return zero, false
-	}
-	v := m.msgs[0]
-	m.msgs = m.msgs[1:]
-	return v, true
-}
+func (m *Mailbox[T]) TryRecv() (T, bool) { return m.msgs.pop() }
 
 // Semaphore is a counting semaphore for processes.
 type Semaphore struct {
@@ -87,11 +77,9 @@ func (s *Semaphore) TryAcquire() bool {
 // Release returns one permit, waking the oldest waiter if any. The
 // permit passes directly to the waiter (no barging).
 func (s *Semaphore) Release() {
-	if w := s.queue.pop(); w != nil {
-		w.p.Resume()
-		return
+	if !s.queue.wakeOne() {
+		s.avail++
 	}
-	s.avail++
 }
 
 // Available reports the number of free permits.
@@ -124,13 +112,7 @@ func (b *Barrier) Await(p *Proc) {
 	if b.n >= b.target {
 		b.n = 0
 		b.cycles++
-		for {
-			w := b.queue.pop()
-			if w == nil {
-				break
-			}
-			w.p.Resume()
-		}
+		b.queue.wakeAll()
 		return
 	}
 	b.queue.push(p)
@@ -157,13 +139,7 @@ func (l *Latch) Open() {
 		return
 	}
 	l.open = true
-	for {
-		w := l.queue.pop()
-		if w == nil {
-			return
-		}
-		w.p.Resume()
-	}
+	l.queue.wakeAll()
 }
 
 // Opened reports whether the latch has been opened.

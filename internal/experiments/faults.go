@@ -31,6 +31,7 @@ type faultRun struct {
 // the composed fault schedule at the given intensity (rate 0 = clean).
 func faultyBurst(params platform.ParagonParams, count, words int, rate float64, seed int64) (faultRun, error) {
 	k := des.New()
+	defer k.Close()
 	sp, err := platform.NewSunParagon(k, params)
 	if err != nil {
 		return faultRun{}, err

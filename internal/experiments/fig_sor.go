@@ -31,6 +31,7 @@ var sorSizes = []int{100, 150, 200, 250, 300, 350, 400}
 // given contenders.
 func sorElapsed(params platform.ParagonParams, m int, specs []workload.AlternatorSpec) (float64, error) {
 	k := des.New()
+	defer k.Close()
 	sp, err := platform.NewSunParagon(k, params)
 	if err != nil {
 		return 0, err

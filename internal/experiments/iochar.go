@@ -87,6 +87,7 @@ func IOCharacteristics(env *Env) (Result, error) {
 // ioSORElapsed is sorElapsed with I/O-capable contenders.
 func ioSORElapsed(params platform.ParagonParams, m int, specs []workload.AlternatorSpec) (float64, error) {
 	k := des.New()
+	defer k.Close()
 	sp, err := platform.NewSunParagon(k, params)
 	if err != nil {
 		return 0, err

@@ -83,6 +83,7 @@ func PhasedContention(env *Env) (Result, error) {
 // phasedRun measures a compute-only application under the dynamic mix.
 func phasedRun(params platform.ParagonParams, dcomp, appStart, tJoin, tLeave float64) (float64, error) {
 	k := des.New()
+	defer k.Close()
 	sp, err := platform.NewSunParagon(k, params)
 	if err != nil {
 		return 0, err

@@ -45,6 +45,7 @@ const (
 // predictor, so two passes over the same trace must agree bit-for-bit.
 func scenarioReplayPass(env *Env, hdr scenario.TraceHeader, recs []scenario.Record) (values []float64, counts map[string][]float64, sums, ns []float64, err error) {
 	k := des.New()
+	defer k.Close()
 	values = make([]float64, len(recs))
 	counts = map[string][]float64{}
 	sums = make([]float64, scenarioReplayBuckets)

@@ -20,6 +20,7 @@ type (
 )
 
 // NewKernel returns an empty simulation kernel with the clock at zero.
+// Close it when done: processes still parked hold it in memory.
 func NewKernel() *Kernel { return des.New() }
 
 // Simulated platforms (see internal/platform).
